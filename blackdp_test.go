@@ -36,7 +36,7 @@ func TestPublicAPITableI(t *testing.T) {
 func TestPublicAPIAggregate(t *testing.T) {
 	cfg := blackdp.DefaultConfig()
 	cfg.AttackerCluster = 3
-	outcomes, err := blackdp.RunMany(cfg, 2, nil)
+	outcomes, err := blackdp.Sweep(context.Background(), cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,9 @@ func TestPublicAPIBuildWorld(t *testing.T) {
 	}
 }
 
-// TestPublicAPISweepOptionsAndDeprecatedWrappers checks the functional
-// options drive the sweep (progress/onRep/mutate all fire, any worker count
-// is byte-identical) and that the deprecated struct-options wrappers return
-// exactly what the canonical context-first functions do.
-func TestPublicAPISweepOptionsAndDeprecatedWrappers(t *testing.T) {
+// TestPublicAPISweepOptions checks the functional options drive the sweep:
+// progress/onRep/mutate all fire, and any worker count is byte-identical.
+func TestPublicAPISweepOptions(t *testing.T) {
 	cfg := blackdp.DefaultConfig()
 	cfg.HighwayLengthM = 4000
 	cfg.Vehicles = 30
@@ -109,13 +107,9 @@ func TestPublicAPISweepOptionsAndDeprecatedWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := blackdp.RunSweep(ctx, cfg, 3, blackdp.SweepOptions{Workers: 4}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := range serial {
-		if serial[i] != parallel[i] || serial[i] != old[i] {
-			t.Fatalf("rep %d: outcomes diverged across worker counts or API generations", i)
+		if serial[i] != parallel[i] {
+			t.Fatalf("rep %d: outcomes diverged across worker counts", i)
 		}
 	}
 }

@@ -11,9 +11,9 @@
 // With -api-key or -keys the server is multi-tenant: every job request
 // must carry "Authorization: Bearer <key>", and each tenant gets its own
 // token-bucket rate limit, bounded queue and fair share of the execution
-// slots. With -store DIR sweep jobs are durable: their streams journal to
-// disk, survive a kill -9, resume on restart and can be re-tailed from
-// any line offset via GET /v1/jobs/{id}/stream?offset=N.
+// slots. Every job's stream can be re-tailed from any line offset via
+// GET /v1/jobs/{id}/stream?offset=N; with -store DIR jobs are durable:
+// their streams journal to disk, survive a kill -9 and resume on restart.
 //
 // On SIGTERM or SIGINT the server drains: new jobs are refused with 503
 // while in-flight jobs run to completion (durable jobs checkpoint and

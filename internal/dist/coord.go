@@ -139,8 +139,12 @@ func (c *Coordinator) Start() {
 	}()
 }
 
-// Stop halts the health loop. It does not interrupt running sweeps.
-func (c *Coordinator) Stop() { c.stopOnce.Do(func() { close(c.stop) }) }
+// Stop halts the health loop and closes the client's idle connections. It
+// does not interrupt running sweeps.
+func (c *Coordinator) Stop() {
+	c.stopOnce.Do(func() { close(c.stop) })
+	c.client.CloseIdleConnections()
+}
 
 // probeAll health-checks every worker concurrently and updates liveness.
 func (c *Coordinator) probeAll(ctx context.Context) {

@@ -7,12 +7,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"blackdp/internal/leakcheck"
 	"blackdp/internal/scenario"
 	"blackdp/internal/serve"
 )
@@ -135,7 +135,7 @@ func TestDistCancelLeavesNoOrphans(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
-	before := runtime.NumGoroutine()
+	base := leakcheck.Take()
 
 	// A sweep big enough to still be in flight when the DELETE lands: the
 	// full-size world takes seconds per replication.
@@ -223,12 +223,11 @@ func TestDistCancelLeavesNoOrphans(t *testing.T) {
 		t.Errorf("canceled job stream carries no terminal marker:\n%s", tail)
 	}
 
-	// Goroutine count returns to the neighbourhood it started in — nothing
-	// orphaned on the coordinator, the serve layer or the workers.
-	waitUntil(t, 20*time.Second, "goroutines to drain", func() bool {
-		runtime.GC()
-		return runtime.NumGoroutine() <= before+8
-	})
+	// Nothing orphaned on the coordinator, the serve layer or the workers:
+	// every goroutine running module code was already alive at the
+	// baseline. Idle keep-alive connections run none, but are closed too.
+	http.DefaultClient.CloseIdleConnections()
+	leakcheck.Check(t, base, 20*time.Second)
 }
 
 // TestServeFallsBackToLocalWhenFleetDead: a configured-but-unreachable

@@ -5,10 +5,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"blackdp/internal/leakcheck"
 )
 
 func del(t *testing.T, url string) (int, string) {
@@ -69,14 +70,14 @@ func TestCancelFinishedJobIs409(t *testing.T) {
 
 // TestCancelRunningSweepStopsWork cancels a long local sweep mid-flight and
 // requires the job stream to terminate with a canceled marker and the
-// server's worker pool to come back to idle — no goroutine keeps
-// simulating a job nobody is waiting for.
+// server's worker pool to come back to idle — no goroutine running
+// service or simulation code outlives the job.
 func TestCancelRunningSweepStopsWork(t *testing.T) {
 	s := mustNew(t, Config{SweepWorkers: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	before := runtime.NumGoroutine()
+	base := leakcheck.Take()
 
 	type result struct {
 		status int
@@ -143,13 +144,6 @@ func TestCancelRunningSweepStopsWork(t *testing.T) {
 		t.Errorf("second DELETE status %d, want 409 or 202", code)
 	}
 
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
-		runtime.GC()
-		if runtime.NumGoroutine() <= before+8 {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Errorf("goroutines did not drain after cancel: before=%d now=%d", before, runtime.NumGoroutine())
+	http.DefaultClient.CloseIdleConnections()
+	leakcheck.Check(t, base, 20*time.Second)
 }

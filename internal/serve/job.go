@@ -23,7 +23,7 @@ type Request struct {
 	Reps int `json:"reps,omitempty"`
 	// Workers overrides the per-job sweep pool size (0 = server default).
 	Workers int `json:"workers,omitempty"`
-	// Trace retains the structured event log for GET /jobs/{id}/trace.
+	// Trace retains the structured event log for GET /v1/jobs/{id}/trace.
 	// Trace jobs always execute — an event log cannot come from the result
 	// cache — but still publish their result bytes into it. Runs only.
 	Trace bool `json:"trace,omitempty"`
@@ -109,7 +109,8 @@ type Job struct {
 	traceLog *trace.Log
 	created  time.Time
 	finished time.Time
-	cancel   context.CancelFunc // cancels the submit handler's job context
+	cancel   context.CancelFunc // cancels the runner's job context
+	stream   *liveStream        // the job's journal, tailed by every response
 }
 
 // view is the GET /jobs/{id} projection.
@@ -165,8 +166,8 @@ func (j *Job) finish(status, errMsg string, result []byte, log *trace.Log) {
 	j.finished = time.Now()
 }
 
-// bindCancel attaches the submit handler's cancel func so
-// DELETE /v1/jobs/{id} can abort the job from another connection.
+// bindCancel attaches the runner's cancel func so DELETE /v1/jobs/{id}
+// can abort the job from any connection.
 func (j *Job) bindCancel(fn context.CancelFunc) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -175,7 +176,7 @@ func (j *Job) bindCancel(fn context.CancelFunc) {
 
 // Cancel aborts a queued or running job and reports whether there was
 // anything left to cancel. The job reaches StatusCanceled through the
-// submit handler observing its context, not here — Cancel only pulls the
+// runner observing its context, not here — Cancel only pulls the
 // trigger, so a cancelled job's stream still terminates with its error
 // line and the worker fan-out (if any) unwinds through the context chain.
 func (j *Job) Cancel() bool {

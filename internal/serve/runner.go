@@ -1,20 +1,24 @@
 package serve
 
-// The durable-job runner. Stored sweeps execute in background goroutines
-// under the server's base context — not the submitting request's — so a
-// disconnected client leaves the job running and every response (the POST
-// stream and GET /v1/jobs/{id}/stream?offset=N alike) is just a tail of
-// the job's journal. The journal is deterministic: line 0 is the accepted
-// line, lines 1..reps are progress lines in strict replication order,
-// then the result line and the result payload. A resumed stream stitched
-// at any offset is therefore byte-identical to an uninterrupted one.
+// The job runner: the one execution path of the service. Every job — run,
+// sweep or trace, cache hit or miss, with or without a durable store —
+// executes in a background goroutine under the server's base context, not
+// the submitting request's, so a disconnected client leaves the job
+// running and every response (the POST stream and
+// GET /v1/jobs/{id}/stream?offset=N alike) is just a tail of the job's
+// journal. The journal is deterministic: line 0 is the accepted line; a
+// miss continues with progress lines 1..reps in strict replication order;
+// every job that completes ends with the result line and the result
+// payload. A resumed stream stitched at any offset is therefore
+// byte-identical to an uninterrupted one.
 //
 // Execution is segmented: each storedSegmentReps-replication slice runs
-// through scenario.RunSweepRange (or the fleet's SweepRange), its outcomes
-// are journaled, and only then do its progress lines enter the stream
-// journal. The outcomes journal is always at or ahead of the progress
-// lines, so recovery re-executes at most one segment and reconciles the
-// stream journal to the frontier before continuing.
+// through scenario.RunSweepRange (or the fleet's SweepRange; a "run" job
+// is a single one-replication segment), its outcomes are journaled, and
+// only then do its progress lines enter the stream journal. The outcomes
+// journal is always at or ahead of the progress lines, so recovery
+// re-executes at most one segment and reconciles the stream journal to the
+// frontier before continuing.
 
 import (
 	"context"
@@ -22,17 +26,19 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
 
 	"blackdp/internal/metrics"
 	"blackdp/internal/scenario"
+	"blackdp/internal/trace"
 )
 
 // Cancellation causes distinguish a DELETE (terminal: the journal gets an
-// error line) from a drain (resumable: the journal is left untouched for
-// the next process).
+// error line) from a drain (resumable with a durable store: the journal is
+// left untouched for the next process).
 var (
 	errCanceledByClient = errors.New("serve: canceled by client")
 	errShutdown         = errors.New("serve: server shutting down")
@@ -96,6 +102,15 @@ func (st *liveStream) count() int {
 	return len(st.lines)
 }
 
+// endsWithResult reports whether the last journaled line is a result line:
+// the previous process died between the result line and its payload.
+func (st *liveStream) endsWithResult() bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	var l streamLine
+	return len(st.lines) > 0 && json.Unmarshal(st.lines[len(st.lines)-1], &l) == nil && l.Type == "result"
+}
+
 // tail writes journal lines from offset onward, blocking for new lines
 // until the stream closes or the client goes away. Lines are written
 // byte-exact with a trailing newline and flushed individually, so a
@@ -134,28 +149,28 @@ func (st *liveStream) tail(ctx context.Context, w http.ResponseWriter, offset in
 	}
 }
 
-// storedRun is one durable job's execution state.
+// storedRun is one job's execution state.
 type storedRun struct {
-	job      *Job
-	spec     jobSpec
-	tenant   *tenantState
-	stream   *liveStream
-	ctx      context.Context
-	cancel   context.CancelCauseFunc
-	frontier int      // replications with journaled outcomes
-	outcomes [][]byte // their outcome lines, in replication order
+	job    *Job
+	spec   jobSpec
+	tenant *tenantState
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+	// hit marks a cache follower: it computes nothing and waits on entry.
+	// Otherwise entry, when non-nil, is the in-flight cache entry this run
+	// leads and must complete (trace jobs lead none).
+	hit      bool
+	entry    *Entry
+	outcomes []metrics.Outcome // completed replications, in replication order
+	traceLog *trace.Log
 }
 
-// newStoredRun wires a run's context under the server base context and
-// registers its stream for tailing.
-func (s *Server) newStoredRun(job *Job, spec jobSpec, t *tenantState, stream *liveStream, outcomes [][]byte) *storedRun {
-	run := &storedRun{job: job, spec: spec, tenant: t, stream: stream,
-		frontier: len(outcomes), outcomes: outcomes}
+// newRun wires a job's context under the server base context and binds
+// DELETE to it.
+func (s *Server) newRun(job *Job, spec jobSpec, t *tenantState, outcomes []metrics.Outcome) *storedRun {
+	run := &storedRun{job: job, spec: spec, tenant: t, outcomes: outcomes}
 	run.ctx, run.cancel = context.WithCancelCause(s.baseCtx)
 	job.bindCancel(func() { run.cancel(errCanceledByClient) })
-	s.jobsMu.Lock()
-	s.streams[job.ID] = stream
-	s.jobsMu.Unlock()
 	return run
 }
 
@@ -163,7 +178,7 @@ func (run *storedRun) journalRaw(s *Server, line []byte) error {
 	if err := s.store.AppendStream(run.job.ID, line); err != nil {
 		return err
 	}
-	run.stream.append(line)
+	run.job.stream.append(line)
 	return nil
 }
 
@@ -180,13 +195,14 @@ func (run *storedRun) journal(s *Server, l streamLine) error {
 // outcomes the previous process journaled but whose stream lines it did
 // not reach before dying.
 func (run *storedRun) reconcile(s *Server) error {
-	if run.stream.count() == 0 {
+	stream := run.job.stream
+	if stream.count() == 0 {
 		if err := run.journal(s, streamLine{Type: "accepted", Job: run.job.ID,
-			Key: run.spec.key, Cache: "miss", Total: run.spec.reps}); err != nil {
+			Key: run.spec.key, Cache: cacheMarker(run.hit), Total: run.spec.reps}); err != nil {
 			return err
 		}
 	}
-	for rep := run.stream.count() - 1; rep < run.frontier; rep++ {
+	for rep := stream.count() - 1; rep < len(run.outcomes); rep++ {
 		if err := run.journal(s, streamLine{Type: "progress", Job: run.job.ID,
 			Rep: rep, Done: rep + 1, Total: run.spec.reps}); err != nil {
 			return err
@@ -195,16 +211,26 @@ func (run *storedRun) reconcile(s *Server) error {
 	return nil
 }
 
-// runStored is the background goroutine of one durable job: journal
-// reconciliation, fair-share admission, segmented execution, terminal
-// journaling.
-func (s *Server) runStored(run *storedRun, wtr *waiter) {
+// start launches a job's runner goroutine once its journal holds at least
+// the accepted line. wtr is its admission wait (nil when it already holds a
+// slot, and for cache followers, which take none).
+func (s *Server) start(run *storedRun, wtr *waiter) {
+	s.runnersWG.Add(1)
+	go s.runJob(run, wtr)
+}
+
+// runJob is the background goroutine of one job whose journal is
+// reconciled: either the wait for a leader's cached result or fair-share
+// admission and segmented execution, then terminal journaling.
+func (s *Server) runJob(run *storedRun, wtr *waiter) {
 	defer s.runnersWG.Done()
-	if err := run.reconcile(s); err != nil {
-		if wtr == nil || !s.adm.cancelWait(wtr) {
-			s.adm.release(run.tenant)
+	if run.hit {
+		payload, err := run.entry.Wait(run.ctx)
+		if err != nil {
+			s.finishErr(run, err)
+			return
 		}
-		s.finishStoredErr(run, err)
+		s.finishDone(run, payload)
 		return
 	}
 	if wtr != nil {
@@ -217,30 +243,43 @@ func (s *Server) runStored(run *storedRun, wtr *waiter) {
 			if !s.adm.cancelWait(wtr) {
 				s.adm.release(run.tenant)
 			}
-			s.finishStoredErr(run, context.Cause(run.ctx))
+			s.finishErr(run, context.Cause(run.ctx))
 			return
 		}
 	}
+	// Go runs a goroutine it has just started or woken ahead of every
+	// goroutine already waiting for a CPU. Execution is CPU-bound and can
+	// hold a core for a whole segment, so the runner first yields that
+	// place: concurrent submissions the HTTP layer is reading are admitted
+	// (or refused) while this job runs, not after it.
+	runtime.Gosched()
 	run.job.setStatus(StatusRunning)
 	s.running.Add(1)
-	start := time.Now()
-	err := s.executeStored(run)
+	began := time.Now()
+	err := s.execute(run)
 	s.running.Add(-1)
 	s.adm.release(run.tenant)
 	if err != nil {
-		s.finishStoredErr(run, err)
+		s.finishErr(run, err)
 		return
 	}
-	s.finishStoredDone(run, time.Since(start))
+	payload, err := json.Marshal(resultPayload{Outcomes: run.outcomes, Summary: metrics.Aggregate(run.outcomes).Report()})
+	if err != nil {
+		s.finishErr(run, err)
+		return
+	}
+	run.outcomes = nil // the payload holds them now
+	s.mSeconds.Observe(time.Since(began).Seconds())
+	s.finishDone(run, payload)
 }
 
-// executeStored runs the remaining replications in journaled segments.
-func (s *Server) executeStored(run *storedRun) error {
+// execute runs the remaining replications in journaled segments.
+func (s *Server) execute(run *storedRun) error {
 	ctx := WithTenant(run.ctx, run.tenant.cfg.Name)
-	onRep := func(int, error) { s.mReps.Inc() }
-	for run.frontier < run.spec.reps {
-		count := min(storedSegmentReps, run.spec.reps-run.frontier)
-		outcomes, err := s.sweepRange(ctx, run.spec, run.frontier, count, onRep)
+	for len(run.outcomes) < run.spec.reps {
+		frontier := len(run.outcomes)
+		count := min(storedSegmentReps, run.spec.reps-frontier)
+		outcomes, err := s.segment(ctx, run, frontier, count)
 		if err != nil {
 			return err
 		}
@@ -253,87 +292,43 @@ func (s *Server) executeStored(run *storedRun) error {
 		if err := s.store.AppendOutcomes(run.job.ID, lines); err != nil {
 			return err
 		}
-		run.outcomes = append(run.outcomes, lines...)
-		for i := 0; i < count; i++ {
-			rep := run.frontier + i
+		run.outcomes = append(run.outcomes, outcomes...)
+		for rep := frontier; rep < len(run.outcomes); rep++ {
 			if err := run.journal(s, streamLine{Type: "progress", Job: run.job.ID,
 				Rep: rep, Done: rep + 1, Total: run.spec.reps}); err != nil {
 				return err
 			}
 		}
-		run.frontier += count
 	}
 	return nil
 }
 
-// finishStoredDone rebuilds the result payload from the journaled outcomes
-// (outcome JSON round-trips exactly — the struct holds no floats), caches
-// it, and journals the terminal lines. The count checks make completion
-// idempotent across restarts: a process killed between the result line and
-// the payload line leaves a journal the next process finishes without
-// duplicating either.
-func (s *Server) finishStoredDone(run *storedRun, elapsed time.Duration) {
-	outs := make([]metrics.Outcome, len(run.outcomes))
-	for i, b := range run.outcomes {
-		if err := json.Unmarshal(b, &outs[i]); err != nil {
-			s.finishStoredErr(run, fmt.Errorf("serve: corrupt stored outcome: %w", err))
-			return
+// segment executes replications [start, start+count) of the job. A "run"
+// job is one replication of the config as given, with its event log
+// retained when the job asked for a trace; sweep segments go through the
+// fleet when one is configured and alive, locally otherwise. Outcomes come
+// back in replication order either way.
+func (s *Server) segment(ctx context.Context, run *storedRun, start, count int) ([]metrics.Outcome, error) {
+	onRep := func(int, error) { s.mReps.Inc() }
+	spec := run.spec
+	if spec.kind == "run" {
+		cfg := spec.cfg
+		cfg.Trace = spec.trace
+		world, err := scenario.Build(cfg)
+		if err != nil {
+			return nil, err
 		}
-	}
-	payload, err := json.Marshal(resultPayload{Outcomes: outs, Summary: metrics.Aggregate(outs).Report()})
-	if err != nil {
-		s.finishStoredErr(run, err)
-		return
-	}
-	s.cache.Put(run.spec.key, payload)
-	if run.stream.count() == run.spec.reps+1 {
-		if err := run.journal(s, streamLine{Type: "result", Job: run.job.ID,
-			Cache: "miss", Total: run.spec.reps}); err != nil {
-			s.finishStoredErr(run, err)
-			return
+		o, err := world.RunContext(ctx)
+		onRep(0, err)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if run.stream.count() == run.spec.reps+2 {
-		if err := run.journalRaw(s, payload); err != nil {
-			s.finishStoredErr(run, err)
-			return
+		if spec.trace {
+			snap := world.Env.Tracer.Snapshot()
+			run.traceLog = &snap
 		}
+		return []metrics.Outcome{o}, nil
 	}
-	run.job.finish(StatusDone, "", payload, nil)
-	s.mJobs.Inc(StatusDone)
-	s.mSeconds.Observe(elapsed.Seconds())
-	run.stream.close()
-}
-
-// finishStoredErr ends a run that did not complete. A drain leaves the
-// journal untouched — the job resumes on restart; anything else (DELETE,
-// an execution error, a store write failure) is terminal and journals an
-// error line.
-func (s *Server) finishStoredErr(run *storedRun, err error) {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		if c := context.Cause(run.ctx); c != nil {
-			err = c
-		}
-	}
-	if errors.Is(err, errShutdown) {
-		run.stream.close()
-		return
-	}
-	status := StatusFailed
-	if errors.Is(err, errCanceledByClient) {
-		status = StatusCanceled
-	}
-	msg := err.Error()
-	_ = run.journal(s, streamLine{Type: "error", Job: run.job.ID, Error: msg})
-	run.job.finish(status, msg, nil, nil)
-	s.mJobs.Inc(status)
-	run.stream.close()
-}
-
-// sweepRange executes [start, start+count) of a sweep: through the fleet
-// when one is configured and alive, locally otherwise. Outcomes come back
-// in replication order either way.
-func (s *Server) sweepRange(ctx context.Context, spec jobSpec, start, count int, onRep func(int, error)) ([]metrics.Outcome, error) {
 	if d := s.cfg.Distributor; d != nil {
 		outcomes, err := d.SweepRange(ctx, spec.cfg, start, count, onRep)
 		if err == nil || !errors.Is(err, ErrNoWorkers) {
@@ -348,6 +343,87 @@ func (s *Server) sweepRange(ctx context.Context, spec jobSpec, start, count int,
 		scenario.SweepOptions{Workers: pool, OnRep: onRep}, nil)
 }
 
+// finishDone journals the terminal lines of a completed job and publishes
+// its payload. The payload slice is shared — not copied — by the job
+// record, the cache and the stream. Completion is idempotent across
+// restarts: a process killed between the result line and the payload line
+// leaves a journal the next process finishes without duplicating either.
+func (s *Server) finishDone(run *storedRun, payload []byte) {
+	cache := cacheMarker(run.hit)
+	var lines [][]byte
+	if !run.job.stream.endsWithResult() {
+		res, err := json.Marshal(streamLine{Type: "result", Job: run.job.ID, Cache: cache, Total: run.spec.reps})
+		if err != nil {
+			s.finishErr(run, err)
+			return
+		}
+		lines = append(lines, res)
+	}
+	lines = append(lines, payload)
+	for _, l := range lines {
+		if err := s.store.AppendStream(run.job.ID, l); err != nil {
+			s.finishErr(run, err)
+			return
+		}
+	}
+	switch {
+	case run.hit:
+	case run.entry != nil:
+		s.cache.Complete(run.entry, payload, nil)
+		run.entry = nil
+	default:
+		s.cache.Put(run.spec.key, payload)
+	}
+	run.job.setCache(cache)
+	run.job.finish(StatusDone, "", payload, run.traceLog)
+	s.mJobs.Inc(StatusDone)
+	for _, l := range lines {
+		run.job.stream.append(l)
+	}
+	run.end()
+}
+
+// finishErr ends a job that did not complete. A drain with a durable store
+// leaves the journal untouched — the job resumes on restart; anything else
+// (DELETE, an execution error, a store write failure, a drain with nothing
+// to resume from) is terminal and journals an error line.
+func (s *Server) finishErr(run *storedRun, err error) {
+	if c := context.Cause(run.ctx); c != nil {
+		err = c // the job's context ended: its cause is the reason
+	}
+	if !run.hit && run.entry != nil {
+		s.cache.Complete(run.entry, nil, err)
+		run.entry = nil
+	}
+	if errors.Is(err, errShutdown) && s.durable {
+		run.end()
+		return
+	}
+	status := StatusFailed
+	if errors.Is(err, errCanceledByClient) {
+		status = StatusCanceled
+	}
+	msg := err.Error()
+	_ = run.journal(s, streamLine{Type: "error", Job: run.job.ID, Error: msg})
+	run.job.finish(status, msg, nil, nil)
+	s.mJobs.Inc(status)
+	run.end()
+}
+
+// cacheMarker is the "cache" field of a job's stream lines and record.
+func cacheMarker(hit bool) string {
+	if hit {
+		return "hit"
+	}
+	return "miss"
+}
+
+// end closes the job's stream and releases its context.
+func (run *storedRun) end() {
+	run.job.stream.close()
+	run.cancel(nil)
+}
+
 // specFromStored rebuilds the validated jobSpec of a recovered job.
 func specFromStored(sp StoredSpec) (jobSpec, error) {
 	cfg, err := scenario.DecodeConfig(sp.Config)
@@ -358,47 +434,53 @@ func specFromStored(sp StoredSpec) (jobSpec, error) {
 	if err != nil {
 		return jobSpec{}, err
 	}
-	return jobSpec{kind: sp.Kind, cfg: cfg, reps: sp.Reps, pool: sp.Pool,
+	return jobSpec{kind: sp.Kind, cfg: cfg, reps: sp.Reps, pool: sp.Pool, trace: sp.Trace,
 		key: fmt.Sprintf("%s/%d/%s", sp.Kind, sp.Reps, fp), rawCfg: sp.Config}, nil
 }
 
 // journalState classifies a recovered stream journal: terminal if it holds
-// an error line, or a result line followed by its payload line.
-func journalState(lines [][]byte) (terminal bool, status, errMsg string, payload []byte) {
+// an error line, or a result line followed by its payload line. hit reports
+// a cache follower's journal (its accepted line is marked "hit").
+func journalState(lines [][]byte) (terminal, hit bool, status, errMsg string, payload []byte) {
 	for i, b := range lines {
 		var l streamLine
 		if json.Unmarshal(b, &l) != nil {
 			continue
 		}
 		switch l.Type {
+		case "accepted":
+			hit = l.Cache == "hit"
 		case "error":
 			status = StatusFailed
 			if l.Error == errCanceledByClient.Error() {
 				status = StatusCanceled
 			}
-			return true, status, l.Error, nil
+			return true, hit, status, l.Error, nil
 		case "result":
 			if i+1 < len(lines) {
-				return true, StatusDone, "", lines[i+1]
+				return true, hit, StatusDone, "", lines[i+1]
 			}
 			// Result line without its payload: the previous process died
 			// between the two appends; completion is idempotent, resume.
-			return false, "", "", nil
+			return false, hit, "", "", nil
 		}
 	}
-	return false, "", "", nil
+	return false, hit, "", "", nil
 }
 
 // recoverStored reloads every stored job at startup: terminal jobs
 // reappear in the registry (done results re-enter the cache), unfinished
-// jobs re-enter admission — forced past the queue bound, restarts must
-// never drop work — and resume at their outcome frontier.
+// jobs resume — leaders re-enter admission, forced past the queue bound
+// because restarts must never drop work, and continue at their outcome
+// frontier; cache followers wait for their key again once every leader
+// holds its cache entry.
 func (s *Server) recoverStored() error {
 	stored, err := s.store.Load()
 	if err != nil {
 		return err
 	}
 	var maxSeq uint64
+	var followers []*storedRun
 	for _, sj := range stored {
 		if n := jobSeq(sj.Spec.ID); n > maxSeq {
 			maxSeq = n
@@ -407,47 +489,64 @@ func (s *Server) recoverStored() error {
 		if err != nil {
 			return fmt.Errorf("serve: recovering %s: %w", sj.Spec.ID, err)
 		}
-		job := &Job{ID: sj.Spec.ID, Kind: spec.kind, Key: spec.key, Reps: spec.reps,
-			Tenant: sj.Spec.Tenant, status: StatusQueued, created: time.Now()}
-		job.setCache("miss")
-		s.jobsMu.Lock()
-		s.jobs[job.ID] = job
-		s.order = append(s.order, job.ID)
-		s.jobsMu.Unlock()
-		stream := newLiveStream(sj.Stream)
-		if terminal, status, errMsg, payload := journalState(sj.Stream); terminal {
-			s.jobsMu.Lock()
-			s.streams[job.ID] = stream
-			s.jobsMu.Unlock()
-			stream.close()
+		job := s.register(&Job{ID: sj.Spec.ID, Kind: spec.kind, Key: spec.key, Reps: spec.reps,
+			Tenant: sj.Spec.Tenant, status: StatusQueued, created: time.Now(), stream: newLiveStream(sj.Stream)})
+		terminal, hit, status, errMsg, payload := journalState(sj.Stream)
+		job.setCache(cacheMarker(hit))
+		if terminal {
+			job.stream.close()
 			job.finish(status, errMsg, payload, nil)
 			if status == StatusDone && payload != nil {
 				s.cache.Put(spec.key, payload)
 			}
 			continue
 		}
+		outcomes := make([]metrics.Outcome, len(sj.Outcomes))
+		for i, b := range sj.Outcomes {
+			if err = json.Unmarshal(b, &outcomes[i]); err != nil {
+				err = fmt.Errorf("serve: corrupt stored outcome: %w", err)
+				break
+			}
+		}
 		t := s.adm.lookup(sj.Spec.Tenant)
-		if t == nil {
+		run := s.newRun(job, spec, t, outcomes)
+		switch {
+		case err != nil:
+		case t == nil:
 			// The keyfile changed across the restart and this job's tenant
 			// is gone; it cannot be re-admitted fairly, so it fails loudly
 			// rather than running outside every quota.
-			s.jobsMu.Lock()
-			s.streams[job.ID] = stream
-			s.jobsMu.Unlock()
-			run := &storedRun{job: job, spec: spec, tenant: nil, stream: stream,
-				frontier: len(sj.Outcomes), outcomes: sj.Outcomes}
-			run.ctx, run.cancel = context.WithCancelCause(s.baseCtx)
-			_ = run.journal(s, streamLine{Type: "error", Job: job.ID,
-				Error: "tenant " + sj.Spec.Tenant + " is no longer configured"})
-			job.finish(StatusFailed, "tenant "+sj.Spec.Tenant+" is no longer configured", nil, nil)
-			s.mJobs.Inc(StatusFailed)
-			stream.close()
-			continue
+			err = errors.New("tenant " + sj.Spec.Tenant + " is no longer configured")
+		default:
+			err = run.reconcile(s)
 		}
-		run := s.newStoredRun(job, spec, t, stream, sj.Outcomes)
-		wtr, _ := s.adm.acquire(t, true)
-		s.runnersWG.Add(1)
-		go s.runStored(run, wtr)
+		switch {
+		case err != nil:
+			s.finishErr(run, err)
+		case hit:
+			followers = append(followers, run)
+		default:
+			if !spec.trace {
+				if e, leader := s.cache.Begin(spec.key); leader {
+					run.entry = e
+				}
+			}
+			wtr, _ := s.adm.acquire(t, true)
+			s.start(run, wtr)
+		}
+	}
+	// A follower whose key nobody computes any more (its leader failed or
+	// was evicted) leads it itself.
+	for _, run := range followers {
+		e, leader := s.cache.Begin(run.spec.key)
+		run.entry = e
+		var wtr *waiter
+		if leader {
+			wtr, _ = s.adm.acquire(run.tenant, true)
+		} else {
+			run.hit = true
+		}
+		s.start(run, wtr)
 	}
 	for {
 		cur := s.seq.Load()
@@ -458,45 +557,9 @@ func (s *Server) recoverStored() error {
 	return nil
 }
 
-// submitStored admits a durable sweep: spec persisted, runner started in
-// the background, and the response is a tail of the journal from offset 0.
-// A disconnecting client stops only its tail — the job keeps running.
-func (s *Server) submitStored(w http.ResponseWriter, r *http.Request, t *tenantState, spec jobSpec) {
-	wtr, ok := s.adm.acquire(t, false)
-	if !ok {
-		s.mRejected.Inc()
-		s.mTenantRejected.Inc(t.cfg.Name)
-		WriteError(w, http.StatusTooManyRequests, "queue_full",
-			"tenant "+t.cfg.Name+" job queue is full", s.retryAfterSeconds())
-		return
-	}
-	s.mAccepted.Inc()
-	s.mTenantAccepted.Inc(t.cfg.Name)
-	job := s.newJob(spec, t.cfg.Name)
-	if err := s.store.PutSpec(StoredSpec{ID: job.ID, Kind: spec.kind, Tenant: t.cfg.Name,
-		Reps: spec.reps, Pool: spec.pool, Config: spec.rawCfg}); err != nil {
-		if wtr == nil || !s.adm.cancelWait(wtr) {
-			s.adm.release(t)
-		}
-		job.finish(StatusFailed, err.Error(), nil, nil)
-		s.mJobs.Inc(StatusFailed)
-		WriteError(w, http.StatusInternalServerError, "store_error",
-			"persisting job spec: "+err.Error(), 0)
-		return
-	}
-	job.setCache("miss")
-	run := s.newStoredRun(job, spec, t, newLiveStream(nil), nil)
-	s.runnersWG.Add(1)
-	go s.runStored(run, wtr)
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Blackdp-Cache", "miss")
-	run.stream.tail(r.Context(), w, 0)
-}
-
 // handleStream is GET /v1/jobs/{id}/stream?offset=N: a byte-exact replay
 // of the job's journal from line offset N, tailing live lines until the
-// job finishes. Only durable jobs (server started with a store) have one.
+// job finishes.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.authorize(w, r)
 	if !ok {
@@ -506,14 +569,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	job := s.lookup(id)
 	if job == nil || !s.visible(job, t) {
 		WriteError(w, http.StatusNotFound, "not_found", "no such job: "+id, 0)
-		return
-	}
-	s.jobsMu.Lock()
-	stream := s.streams[id]
-	s.jobsMu.Unlock()
-	if stream == nil {
-		WriteError(w, http.StatusNotFound, "no_stream",
-			"job "+id+" has no durable stream (server running without a store, or kind \"run\")", 0)
 		return
 	}
 	offset := 0
@@ -527,5 +582,5 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		offset = n
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	stream.tail(r.Context(), w, offset)
+	job.stream.tail(r.Context(), w, offset)
 }

@@ -17,8 +17,8 @@
 //	DELETE /v1/jobs/{id}       cancel a queued or running job; with a fleet
 //	                           configured the cancellation fans out to every
 //	                           worker holding one of the job's chunks
-//	GET  /v1/jobs/{id}/stream  byte-exact replay of a durable job's NDJSON
-//	                           stream from ?offset=N, tailing until done
+//	GET  /v1/jobs/{id}/stream  byte-exact replay of a job's NDJSON stream
+//	                           from ?offset=N, tailing until done
 //	GET  /v1/jobs/{id}/trace the retained event log of a trace-enabled run
 //	GET  /v1/metrics         Prometheus text exposition
 //	GET  /v1/healthz         liveness and drain state
@@ -36,12 +36,14 @@
 // no tenants configured the server is open and behaves as a single
 // unlimited tenant, preserving the original admission semantics.
 //
-// Durability (Config.Store): sweep jobs journal their spec, their stream
-// lines and their per-replication outcomes through a JobStore; a restarted
-// server resumes unfinished sweeps at the journaled frontier, and resumed
-// streams stitched through /stream?offset=N are byte-identical to
-// uninterrupted ones. Durable jobs run detached from the submitting
-// connection — disconnecting stops the tail, not the job.
+// Every job runs detached from the submitting connection on one path, the
+// journaled runner (runner.go): the POST response and /stream?offset=N are
+// both tails of the job's journal, so disconnecting stops the tail, not the
+// job — DELETE /v1/jobs/{id} is what cancels. Durability (Config.Store):
+// jobs journal their spec, their stream lines and their per-replication
+// outcomes through a JobStore; a restarted server resumes unfinished jobs
+// at the journaled frontier, and resumed streams stitched through
+// /stream?offset=N are byte-identical to uninterrupted ones.
 package serve
 
 import (
@@ -61,7 +63,6 @@ import (
 	"blackdp/internal/exp"
 	"blackdp/internal/metrics"
 	"blackdp/internal/scenario"
-	"blackdp/internal/trace"
 )
 
 // Distributor executes a contiguous slice of a sweep's replication range
@@ -113,9 +114,11 @@ type Config struct {
 	// Tenants declares the API keys. Empty means an open server: no
 	// authentication, one unlimited anonymous tenant.
 	Tenants []Tenant
-	// Store, when non-nil, makes sweep jobs durable: specs and journals
-	// persist through it and unfinished sweeps resume on restart. Runs and
-	// trace jobs stay in-memory (a trace log is not journalable).
+	// Store, when non-nil, makes jobs durable: specs and journals persist
+	// through it, unfinished jobs resume on restart and Drain interrupts
+	// running jobs resumably. A trace job's event log is not journaled: a
+	// recovered trace job serves its result but no trace. Nil means jobs
+	// live in memory only, and Drain lets admitted jobs finish.
 	Store JobStore
 	// Distributor, when non-nil, fans sweep jobs out across a worker fleet
 	// (see the Distributor interface). Runs and trace jobs always execute
@@ -162,10 +165,12 @@ type Server struct {
 	http  *http.Server
 	adm   *admission
 	store JobStore
+	// durable reports a configured Config.Store: a job interrupted by
+	// Drain can resume in the next process.
+	durable bool
 
-	// baseCtx parents every durable job's execution context so Drain can
-	// interrupt them resumably; request-bound jobs keep their request
-	// contexts.
+	// baseCtx parents every job's execution context so Drain can interrupt
+	// them.
 	baseCtx    context.Context
 	baseCancel context.CancelCauseFunc
 	runnersWG  sync.WaitGroup
@@ -174,11 +179,10 @@ type Server struct {
 	running  atomic.Int64
 	draining atomic.Bool
 
-	seq     atomic.Uint64
-	jobsMu  sync.Mutex
-	jobs    map[string]*Job
-	order   []string
-	streams map[string]*liveStream // durable jobs' journals, for tailing
+	seq    atomic.Uint64
+	jobsMu sync.Mutex
+	jobs   map[string]*Job
+	order  []string
 
 	mAccepted       *Counter
 	mRejected       *Counter
@@ -206,8 +210,11 @@ func New(cfg Config) (*Server, error) {
 		mux:     http.NewServeMux(),
 		adm:     adm,
 		store:   cfg.Store,
+		durable: cfg.Store != nil,
 		jobs:    make(map[string]*Job),
-		streams: make(map[string]*liveStream),
+	}
+	if !s.durable {
+		s.store = memStore{}
 	}
 	s.baseCtx, s.baseCancel = context.WithCancelCause(context.Background())
 	s.http = &http.Server{Handler: s.mux}
@@ -279,11 +286,9 @@ func New(cfg Config) (*Server, error) {
 		WriteError(w, http.StatusNotFound, "not_found", "no such route: "+r.URL.Path, 0)
 	})
 
-	if s.store != nil {
-		if err := s.recoverStored(); err != nil {
-			s.baseCancel(errShutdown)
-			return nil, err
-		}
+	if err := s.recoverStored(); err != nil {
+		s.baseCancel(errShutdown)
+		return nil, err
 	}
 	return s, nil
 }
@@ -306,19 +311,24 @@ func (s *Server) SetHandler(h http.Handler) { s.http.Handler = h }
 // http.ErrServerClosed after a clean drain, like net/http.
 func (s *Server) Serve(l net.Listener) error { return s.http.Serve(l) }
 
-// Drain stops admission (new submissions get 503), interrupts durable jobs
-// resumably (their journals are left for the next process), waits for
-// in-flight requests, and returns the final cache statistics for the
-// shutdown log.
+// Drain stops admission (new submissions get 503) and winds the admitted
+// jobs down: with a durable store it interrupts them resumably (their
+// journals are left for the next process); without one it lets them
+// finish, since nothing could resume them, and interrupts only what is
+// still running when ctx ends. It then waits for in-flight requests and
+// returns the final cache statistics for the shutdown log.
 func (s *Server) Drain(ctx context.Context) (CacheStats, error) {
 	s.draining.Store(true)
-	s.baseCancel(errShutdown)
+	if s.durable {
+		s.baseCancel(errShutdown)
+	}
 	runnersDone := make(chan struct{})
 	go func() { s.runnersWG.Wait(); close(runnersDone) }()
 	select {
 	case <-runnersDone:
 	case <-ctx.Done():
 	}
+	s.baseCancel(errShutdown)
 	err := s.http.Shutdown(ctx)
 	if c, ok := s.store.(io.Closer); ok {
 		_ = c.Close()
@@ -366,29 +376,17 @@ func WriteError(w http.ResponseWriter, status int, code, message string, retryAf
 	_ = json.NewEncoder(w).Encode(APIError{Code: code, Message: message, RetryAfterSeconds: retryAfter})
 }
 
-func writeJSONLine(w io.Writer, v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	if f, ok := w.(http.Flusher); ok {
-		f.Flush()
-	}
-	return err
-}
-
+// streamLine is one NDJSON line of a job's stream. It carries no timings,
+// so the stream of a config is deterministic; they are on GET /v1/jobs/{id}.
 type streamLine struct {
-	Type      string `json:"type"`
-	Job       string `json:"job"`
-	Key       string `json:"key,omitempty"`
-	Cache     string `json:"cache,omitempty"`
-	Rep       int    `json:"rep,omitempty"`
-	Done      int    `json:"done,omitempty"`
-	Total     int    `json:"total,omitempty"`
-	ElapsedMS int64  `json:"elapsed_ms,omitempty"`
-	Error     string `json:"error,omitempty"`
+	Type  string `json:"type"`
+	Job   string `json:"job"`
+	Key   string `json:"key,omitempty"`
+	Cache string `json:"cache,omitempty"`
+	Rep   int    `json:"rep,omitempty"`
+	Done  int    `json:"done,omitempty"`
+	Total int    `json:"total,omitempty"`
+	Error string `json:"error,omitempty"`
 }
 
 // authorize resolves the request's tenant, answering 401 with the envelope
@@ -445,32 +443,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Durable sweeps detach from the connection and journal through the
-	// store; runs and trace jobs keep the request-bound in-memory path.
-	if s.store != nil && spec.kind == "sweep" && !spec.trace {
-		s.submitStored(w, r, t, spec)
-		return
-	}
-
-	// A job's execution context cancels two ways: the submitting client
-	// disconnecting (r.Context) or DELETE /v1/jobs/{id} from any other
-	// connection (the cancel func bound to the job record).
-	ctx, cancelJob := context.WithCancel(r.Context())
-	defer cancelJob()
-
 	// Cache read path. Trace jobs skip it — an event log cannot come from
-	// the cache — but still publish their result bytes on completion.
+	// the cache — but still publish their result bytes on completion. A
+	// hit (or a join on a result still being computed) takes no execution
+	// slot: its job only waits for the leader's payload.
 	var entry *Entry
 	if !spec.trace {
 		var leader bool
 		entry, leader = s.cache.Begin(spec.key)
 		if !leader {
-			s.serveCached(ctx, cancelJob, w, t, spec, entry)
+			s.submit(w, r, t, spec, entry, true, nil)
 			return
 		}
 	}
-
-	// Admission: claim a slot or a place in this tenant's queue.
+	// A miss claims a slot or a place in this tenant's queue.
 	wtr, admitted := s.adm.acquire(t, false)
 	if !admitted {
 		if entry != nil {
@@ -479,178 +465,55 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.mRejected.Inc()
 		s.mTenantRejected.Inc(t.cfg.Name)
 		WriteError(w, http.StatusTooManyRequests, "queue_full",
-			"job queue is full", s.retryAfterSeconds())
+			"tenant "+t.cfg.Name+" job queue is full", s.retryAfterSeconds())
 		return
 	}
+	s.submit(w, r, t, spec, entry, false, wtr)
+}
+
+// submit registers an accepted job, persists its spec, starts its runner
+// and answers with a tail of its journal from offset 0. A cache follower
+// (hit) waits on entry and holds no slot; a miss leads entry (nil for trace
+// jobs) and waits on wtr for its slot. A disconnecting client stops only
+// its tail — the job keeps running; DELETE /v1/jobs/{id} cancels it.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, t *tenantState, spec jobSpec, entry *Entry, hit bool, wtr *waiter) {
 	s.mAccepted.Inc()
 	s.mTenantAccepted.Inc(t.cfg.Name)
 	job := s.newJob(spec, t.cfg.Name)
-	job.bindCancel(cancelJob)
-	job.setCache("miss")
-
+	run := s.newRun(job, spec, t, nil)
+	run.hit, run.entry = hit, entry
+	job.setCache(cacheMarker(hit))
+	// The accepted line is journaled here, not by the runner, so the client
+	// reads it at once even when the runner does not get a CPU soon.
+	err := s.store.PutSpec(StoredSpec{ID: job.ID, Kind: spec.kind, Tenant: t.cfg.Name,
+		Reps: spec.reps, Pool: spec.pool, Trace: spec.trace, Config: spec.rawCfg})
+	if err == nil {
+		err = run.reconcile(s)
+	}
+	if err != nil {
+		if !hit && (wtr == nil || !s.adm.cancelWait(wtr)) {
+			s.adm.release(t)
+		}
+		s.finishErr(run, fmt.Errorf("persisting job: %w", err))
+		WriteError(w, http.StatusInternalServerError, "store_error", "persisting job: "+err.Error(), 0)
+		return
+	}
+	s.start(run, wtr)
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Blackdp-Cache", "miss")
-	_ = writeJSONLine(w, streamLine{Type: "accepted", Job: job.ID, Key: spec.key, Cache: "miss", Total: spec.reps})
-
-	// Wait for a slot grant; a disconnected client leaves the queue and
-	// withdraws the in-flight cache entry so the next request leads.
-	if wtr != nil {
-		s.queued.Add(1)
-		select {
-		case <-wtr.ready:
-			s.queued.Add(-1)
-		case <-ctx.Done():
-			s.queued.Add(-1)
-			if !s.adm.cancelWait(wtr) {
-				s.adm.release(t)
-			}
-			if entry != nil {
-				s.cache.Abort(entry, ctx.Err())
-			}
-			job.finish(StatusCanceled, ctx.Err().Error(), nil, nil)
-			s.mJobs.Inc(StatusCanceled)
-			return
-		}
-	}
-	s.running.Add(1)
-	defer func() { s.running.Add(-1); s.adm.release(t) }()
-
-	job.setStatus(StatusRunning)
-	start := time.Now()
-
-	// Progress lines flow through a buffered channel to a writer goroutine:
-	// OnRep fires under the sweep pool's lock, and a slow client must stall
-	// neither the pool nor the other workers — excess lines are dropped.
-	lines := make(chan streamLine, 64)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		for line := range lines {
-			_ = writeJSONLine(w, line)
-		}
-	}()
-	repsDone := 0
-	onRep := func(rep int, err error) { // serialised by exp.Map
-		s.mReps.Inc()
-		repsDone++
-		line := streamLine{Type: "progress", Job: job.ID, Rep: rep, Done: repsDone, Total: spec.reps}
-		if err != nil {
-			line.Error = err.Error()
-		}
-		select {
-		case lines <- line:
-		default: // drop: progress is advisory, the result line is not
-		}
-	}
-
-	outcomes, log, err := s.execute(WithTenant(ctx, t.cfg.Name), spec, onRep)
-	close(lines)
-	<-writerDone
-	elapsed := time.Since(start)
-
-	if err != nil {
-		if entry != nil {
-			s.cache.Complete(entry, nil, err)
-		}
-		status := StatusFailed
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			status = StatusCanceled
-		}
-		job.finish(status, err.Error(), nil, nil)
-		s.mJobs.Inc(status)
-		_ = writeJSONLine(w, streamLine{Type: "error", Job: job.ID, Error: err.Error(), ElapsedMS: elapsed.Milliseconds()})
-		return
-	}
-
-	payload, err := json.Marshal(resultPayload{Outcomes: outcomes, Summary: metrics.Aggregate(outcomes).Report()})
-	if err != nil {
-		if entry != nil {
-			s.cache.Complete(entry, nil, err)
-		}
-		job.finish(StatusFailed, err.Error(), nil, nil)
-		s.mJobs.Inc(StatusFailed)
-		_ = writeJSONLine(w, streamLine{Type: "error", Job: job.ID, Error: err.Error()})
-		return
-	}
-	if entry != nil {
-		s.cache.Complete(entry, payload, nil)
-	} else {
-		s.cache.Put(spec.key, payload)
-	}
-	job.finish(StatusDone, "", payload, log)
-	s.mJobs.Inc(StatusDone)
-	s.mSeconds.Observe(elapsed.Seconds())
-	_ = writeJSONLine(w, streamLine{Type: "result", Job: job.ID, Cache: "miss", ElapsedMS: elapsed.Milliseconds(), Total: spec.reps})
-	_, _ = w.Write(payload)
-	_, _ = io.WriteString(w, "\n")
-	if f, ok := w.(http.Flusher); ok {
-		f.Flush()
-	}
+	w.Header().Set("X-Blackdp-Cache", cacheMarker(hit))
+	job.stream.tail(r.Context(), w, 0)
 }
 
-// serveCached answers a request whose key is already cached or in flight.
-func (s *Server) serveCached(ctx context.Context, cancel context.CancelFunc, w http.ResponseWriter, t *tenantState, spec jobSpec, entry *Entry) {
-	s.mAccepted.Inc()
-	s.mTenantAccepted.Inc(t.cfg.Name)
-	job := s.newJob(spec, t.cfg.Name)
-	job.bindCancel(cancel)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Blackdp-Cache", "hit")
-	_ = writeJSONLine(w, streamLine{Type: "accepted", Job: job.ID, Key: spec.key, Cache: "hit", Total: spec.reps})
-	start := time.Now()
-	payload, err := entry.Wait(ctx)
-	if err != nil {
-		job.finish(StatusFailed, err.Error(), nil, nil)
-		s.mJobs.Inc(StatusFailed)
-		_ = writeJSONLine(w, streamLine{Type: "error", Job: job.ID, Error: err.Error()})
-		return
-	}
-	job.setCache("hit")
-	job.finish(StatusDone, "", payload, nil)
-	s.mJobs.Inc(StatusDone)
-	_ = writeJSONLine(w, streamLine{Type: "result", Job: job.ID, Cache: "hit", ElapsedMS: time.Since(start).Milliseconds(), Total: spec.reps})
-	_, _ = w.Write(payload)
-	_, _ = io.WriteString(w, "\n")
-	if f, ok := w.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// execute runs the job's workload under ctx.
-func (s *Server) execute(ctx context.Context, spec jobSpec, onRep func(int, error)) ([]metrics.Outcome, *trace.Log, error) {
-	switch spec.kind {
-	case "run":
-		cfg := spec.cfg
-		cfg.Trace = spec.trace
-		world, err := scenario.Build(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		o, err := world.RunContext(ctx)
-		if onRep != nil {
-			onRep(0, err)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		var log *trace.Log
-		if spec.trace {
-			snap := world.Env.Tracer.Snapshot()
-			log = &snap
-		}
-		return []metrics.Outcome{o}, log, nil
-	default: // "sweep", validated upstream
-		outcomes, err := s.sweepRange(ctx, spec, 0, spec.reps, onRep)
-		return outcomes, nil, err
-	}
-}
-
-// newJob registers a retained job record, evicting the oldest finished jobs
-// beyond the retention bound (evicted durable jobs drop their journals and
-// store artifacts with them).
+// newJob registers the record of a newly accepted job.
 func (s *Server) newJob(spec jobSpec, tenant string) *Job {
-	j := &Job{ID: fmt.Sprintf("j-%d", s.seq.Add(1)), Kind: spec.kind, Key: spec.key,
-		Reps: spec.reps, Tenant: tenant, status: StatusQueued, created: time.Now()}
+	return s.register(&Job{ID: fmt.Sprintf("j-%d", s.seq.Add(1)), Kind: spec.kind, Key: spec.key,
+		Reps: spec.reps, Tenant: tenant, status: StatusQueued, created: time.Now(), stream: newLiveStream(nil)})
+}
+
+// register adds a job to the retained registry, evicting the oldest
+// finished jobs beyond the retention bound (evicted jobs drop their
+// journals and store artifacts with them).
+func (s *Server) register(j *Job) *Job {
 	s.jobsMu.Lock()
 	defer s.jobsMu.Unlock()
 	s.jobs[j.ID] = j
@@ -660,11 +523,8 @@ func (s *Server) newJob(spec jobSpec, tenant string) *Job {
 		for i, id := range s.order {
 			if s.jobs[id].done() {
 				delete(s.jobs, id)
-				delete(s.streams, id)
 				s.order = append(s.order[:i], s.order[i+1:]...)
-				if s.store != nil {
-					_ = s.store.Remove(id)
-				}
+				_ = s.store.Remove(id)
 				evicted = true
 				break
 			}

@@ -1,10 +1,11 @@
 package serve
 
-// Durable jobs. A JobStore persists each accepted sweep as three
+// Durable jobs. A JobStore persists each accepted job as three
 // append-only artifacts:
 //
 //   - the spec: the validated request (kind, canonical config JSON, reps,
-//     pool, tenant) — everything needed to re-admit the job after a restart;
+//     pool, trace flag, tenant) — everything needed to re-admit the job
+//     after a restart;
 //   - the stream journal: the job's NDJSON response lines, wire-exact — the
 //     journal IS the canonical stream, POST responses and
 //     GET /v1/jobs/{id}/stream?offset=N both replay it verbatim;
@@ -37,7 +38,7 @@ import (
 	"sync"
 )
 
-// StoredSpec is the durable record of an accepted sweep: enough to re-admit
+// StoredSpec is the durable record of an accepted job: enough to re-admit
 // and re-execute it after a restart.
 type StoredSpec struct {
 	ID     string          `json:"id"`
@@ -45,6 +46,7 @@ type StoredSpec struct {
 	Tenant string          `json:"tenant"`
 	Reps   int             `json:"reps"`
 	Pool   int             `json:"workers,omitempty"`
+	Trace  bool            `json:"trace,omitempty"`
 	Config json.RawMessage `json:"config"`
 }
 
@@ -56,9 +58,9 @@ type StoredJob struct {
 	Outcomes [][]byte
 }
 
-// JobStore persists sweep jobs across restarts. Implementations must be
-// safe for concurrent use and must only ever append to a job's journals —
-// recovery depends on prefixes staying immutable.
+// JobStore persists jobs across restarts. Implementations must be safe for
+// concurrent use and must only ever append to a job's journals — recovery
+// depends on prefixes staying immutable.
 type JobStore interface {
 	// PutSpec persists a new job's spec.
 	PutSpec(spec StoredSpec) error
@@ -73,6 +75,17 @@ type JobStore interface {
 	// Remove deletes a job's artifacts (retention eviction).
 	Remove(id string) error
 }
+
+// memStore is the JobStore of a server without Config.Store: it persists
+// nothing. A job's liveStream already holds every stream line, and there
+// is no next process to recover them.
+type memStore struct{}
+
+func (memStore) PutSpec(StoredSpec) error              { return nil }
+func (memStore) AppendStream(string, []byte) error     { return nil }
+func (memStore) AppendOutcomes(string, [][]byte) error { return nil }
+func (memStore) Load() ([]StoredJob, error)            { return nil, nil }
+func (memStore) Remove(string) error                   { return nil }
 
 // FileStore is the on-disk JobStore: <dir>/<id>.spec.json,
 // <dir>/<id>.stream.ndjson, <dir>/<id>.outcomes.ndjson.

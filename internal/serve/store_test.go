@@ -259,7 +259,7 @@ func TestDurableSweepResumesAfterDrainByteIdentical(t *testing.T) {
 // TestDurableStreamOffsetsStitch completes a durable sweep and re-tails it
 // at every offset: each tail must be exactly the journal's suffix, so any
 // interrupted consumer can resume wherever it stopped without ever seeing
-// a duplicated or altered line.
+// a duplicated or altered line. A store-less job re-tails the same way.
 func TestDurableStreamOffsetsStitch(t *testing.T) {
 	fs, err := NewFileStore(t.TempDir())
 	if err != nil {
@@ -294,7 +294,8 @@ func TestDurableStreamOffsetsStitch(t *testing.T) {
 		}
 	}
 
-	// A non-durable job has no journal to tail: typed 404.
+	// A store-less job has the same stream: every offset's tail is the
+	// matching suffix of its POST response, byte for byte.
 	plain := mustNew(t, Config{})
 	plainTS := httptest.NewServer(plain.Handler())
 	defer plainTS.Close()
@@ -302,13 +303,41 @@ func TestDurableStreamOffsetsStitch(t *testing.T) {
 	var run struct {
 		Job string `json:"job"`
 	}
-	_ = json.Unmarshal([]byte(runLines[0]), &run)
-	resp, err := http.Get(plainTS.URL + "/v1/jobs/" + run.Job + "/stream?offset=0")
+	if err := json.Unmarshal([]byte(runLines[0]), &run); err != nil || run.Job == "" {
+		t.Fatalf("no job in accepted line %q: %v", runLines[0], err)
+	}
+	for offset := 0; offset <= len(runLines); offset++ {
+		want := strings.Join(runLines[offset:], "\n")
+		if got := strings.Join(tailStream(t, plainTS.URL, run.Job, offset), "\n"); got != want {
+			t.Fatalf("store-less offset %d tail differs from the POST response:\n got: %s\nwant: %s",
+				offset, got, want)
+		}
+	}
+}
+
+// TestDurableRepeatedSweepIsCacheHit pins that a durable server answers a
+// repeated sweep from the result cache, with the first run's payload bytes.
+func TestDurableRepeatedSweepIsCacheHit(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("stream of a non-durable job: status %d, want 404", resp.StatusCode)
+	s := mustNew(t, Config{Store: fs})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	code1, cache1, lines1 := post(t, ts, sweepBody(13, 3))
+	code2, cache2, lines2 := post(t, ts, sweepBody(13, 3))
+	if code1 != http.StatusOK || code2 != http.StatusOK {
+		t.Fatalf("status %d, %d", code1, code2)
+	}
+	if cache1 != "miss" || cache2 != "hit" {
+		t.Fatalf("cache headers %q, %q; want miss, hit", cache1, cache2)
+	}
+	if p1, p2 := lines1[len(lines1)-1], lines2[len(lines2)-1]; p1 != p2 {
+		t.Fatalf("hit payload differs from the miss payload:\n%s\n%s", p1, p2)
+	}
+	if st := s.cache.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("cache stats %+v, want 1 miss and 1 hit", st)
 	}
 }

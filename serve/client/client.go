@@ -158,15 +158,14 @@ type Request struct {
 
 // Line is one parsed NDJSON stream line.
 type Line struct {
-	Type      string `json:"type"`
-	Job       string `json:"job"`
-	Key       string `json:"key,omitempty"`
-	Cache     string `json:"cache,omitempty"`
-	Rep       int    `json:"rep,omitempty"`
-	Done      int    `json:"done,omitempty"`
-	Total     int    `json:"total,omitempty"`
-	ElapsedMS int64  `json:"elapsed_ms,omitempty"`
-	Error     string `json:"error,omitempty"`
+	Type  string `json:"type"`
+	Job   string `json:"job"`
+	Key   string `json:"key,omitempty"`
+	Cache string `json:"cache,omitempty"`
+	Rep   int    `json:"rep,omitempty"`
+	Done  int    `json:"done,omitempty"`
+	Total int    `json:"total,omitempty"`
+	Error string `json:"error,omitempty"`
 }
 
 // JobView is the GET /v1/jobs/{id} projection.
@@ -312,7 +311,8 @@ func (c *Client) Submit(ctx context.Context, r Request, onRaw func(line []byte))
 
 // Stream consumes GET /v1/jobs/{id}/stream?offset=N once. The Result is
 // always non-nil: its Offset reports how far consumption got, terminal or
-// not. Only durable jobs (a server started with -store) have streams.
+// not. Every job has a stream; only a durable one (a server started with
+// -store) survives a server restart.
 func (c *Client) Stream(ctx context.Context, jobID string, offset int, onRaw func(line []byte)) (*Result, error) {
 	req, err := c.newRequest(ctx, http.MethodGet,
 		fmt.Sprintf("/v1/jobs/%s/stream?offset=%d", jobID, offset), nil)
